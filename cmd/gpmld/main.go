@@ -180,7 +180,15 @@ func run() int {
 		return 1
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// Header and idle timeouts bound what a slow or idle client can hold;
+	// no read or write timeout, since a result stream may legitimately
+	// run for as long as -max-timeout allows.
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "gpmld: serving graph %q on %s (store: %T, cache: %d, concurrency: %d)\n",

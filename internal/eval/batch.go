@@ -2,7 +2,6 @@ package eval
 
 import (
 	"context"
-	"errors"
 	"sync"
 
 	"gpml/internal/ast"
@@ -306,127 +305,42 @@ func (c *batchChainSource) NextBatch() (*Batch, error) {
 
 func (c *batchChainSource) Close() error { return nil }
 
-// parallelBatchSource enumerates a flat-chain pattern on a worker pool,
-// one batch per seed chunk, emitted strictly in chunk (and therefore
-// seed) order — the same geometric chunk schedule as the row pipeline's
-// parallel solution stream, so row order is identical to sequential
-// enumeration. Batch buffers recycle through a sync.Pool: the consumer
-// returns the previous batch on its next pull, so steady-state operation
-// allocates nothing per batch.
+// parallelBatchSource enumerates a flat-chain pattern on the scatter, one
+// batch per seed chunk, emitted in seed order. Batch buffers recycle
+// through a sync.Pool: the consumer returns the previous batch on its
+// next pull, so steady-state operation allocates nothing per batch.
 type parallelBatchSource struct {
-	ctx    context.Context
-	ch     chan *Batch
-	stop   chan struct{}
-	pool   sync.Pool
-	err    error
-	prev   *Batch
-	closed bool
+	sc   *scatter[*Batch]
+	pool sync.Pool
+	prev *Batch
 }
 
 func newParallelBatchSource(ctx context.Context, st graph.Stepper, pp *plan.PathPlan, cfg Config, width int, seeds []int) *parallelBatchSource {
-	ps := &parallelBatchSource{
-		ctx:  ctx,
-		ch:   make(chan *Batch, 4),
-		stop: make(chan struct{}),
-	}
+	ps := &parallelBatchSource{}
 	ps.pool.New = func() any { return newBatch(width) }
-	bud := newBudget(cfg.Limits.withDefaults())
-	bud.check = cancelCheck(ctx, ps.stop)
-	go func() {
-		err := ps.run(st, pp, cfg, bud, seeds)
-		if err != nil && !errors.Is(err, errStreamStopped) {
-			ps.err = err // published by the channel close below
-		}
-		close(ps.ch)
-	}()
-	return ps
-}
-
-func (ps *parallelBatchSource) run(st graph.Stepper, pp *plan.PathPlan, cfg Config, bud *budget, seeds []int) error {
-	workers := cfg.Parallelism
-	if workers > len(seeds) {
-		workers = len(seeds)
+	ps.sc = &scatter[*Batch]{
+		empty:   func(b *Batch) bool { return b.rows() == 0 },
+		recycle: func(b *Batch) { ps.pool.Put(b) },
 	}
-	// Geometric chunk schedule (single seeds first for first-row latency,
-	// capped at 64) — identical to the row pipeline's parallel stream.
-	starts := chunkStarts(len(seeds), workers)
-	nchunks := len(starts) - 1
-	type chunkResult struct {
-		i int
-		b *Batch
-	}
-	resCh := make(chan chunkResult, workers)
-	var errs []error
-	go func() {
-		errs = runSeedPool(workers, nchunks, ps.stop, func() func(int) error {
-			var out *Batch
-			enum := newChainEnum(st, pp.Chain, cfg.Limits.withDefaults(), bud, func(tuple []graph.ElemIdx) error {
-				appendTuple(out, tuple)
-				return nil
-			})
-			return func(ci int) error {
-				out = ps.pool.Get().(*Batch)
-				out.clear()
-				for _, seed := range seeds[starts[ci]:starts[ci+1]] {
-					if err := enum.runSeed(seed); err != nil {
-						ps.pool.Put(out)
-						return err
-					}
-				}
-				select {
-				case resCh <- chunkResult{ci, out}:
-					return nil
-				case <-ps.stop:
-					ps.pool.Put(out)
-					return errStreamStopped
-				}
-			}
+	ps.sc.start(ctx, cfg, seeds, nil, func(bud *budget) func(lo, hi int) (*Batch, error) {
+		var out *Batch
+		enum := newChainEnum(st, pp.Chain, cfg.Limits.withDefaults(), bud, func(tuple []graph.ElemIdx) error {
+			appendTuple(out, tuple)
+			return nil
 		})
-		close(resCh)
-	}()
-	// Reorder chunk results into chunk order; skip empty chunks.
-	pending := map[int]*Batch{}
-	emitAt := 0
-	var sendErr error
-	for r := range resCh {
-		if sendErr != nil {
-			ps.pool.Put(r.b)
-			continue
-		}
-		pending[r.i] = r.b
-		for b, ok := pending[emitAt]; ok; b, ok = pending[emitAt] {
-			delete(pending, emitAt)
-			emitAt++
-			if b.rows() == 0 {
-				ps.pool.Put(b)
-				continue
+		return func(lo, hi int) (*Batch, error) {
+			out = ps.pool.Get().(*Batch)
+			out.clear()
+			for _, seed := range seeds[lo:hi] {
+				if err := enum.runSeed(seed); err != nil {
+					ps.pool.Put(out)
+					return nil, err
+				}
 			}
-			if sendErr = ps.send(b); sendErr != nil {
-				ps.pool.Put(b)
-				break
-			}
+			return out, nil
 		}
-	}
-	for _, b := range pending {
-		ps.pool.Put(b)
-	}
-	for _, err := range errs {
-		if err != nil && !errors.Is(err, errStreamStopped) {
-			return err
-		}
-	}
-	return sendErr
-}
-
-func (ps *parallelBatchSource) send(b *Batch) error {
-	select {
-	case ps.ch <- b:
-		return nil
-	case <-ps.stop:
-		return errStreamStopped
-	case <-ps.ctx.Done():
-		return ps.ctx.Err()
-	}
+	})
+	return ps
 }
 
 func (ps *parallelBatchSource) NextBatch() (*Batch, error) {
@@ -434,25 +348,16 @@ func (ps *parallelBatchSource) NextBatch() (*Batch, error) {
 		ps.pool.Put(ps.prev)
 		ps.prev = nil
 	}
-	b, ok := <-ps.ch
+	b, ok, err := ps.sc.next()
 	if !ok {
-		return nil, ps.err
+		return nil, err
 	}
 	ps.prev = b
 	return b, nil
 }
 
-// Close stops the pool and blocks until the generator goroutine has
-// exited (its channel close is observed by the drain loop).
 func (ps *parallelBatchSource) Close() error {
-	if ps.closed {
-		return nil
-	}
-	ps.closed = true
-	close(ps.stop)
-	for b := range ps.ch {
-		ps.pool.Put(b)
-	}
+	ps.sc.close()
 	return nil
 }
 

@@ -118,6 +118,37 @@ func TestBatchDifferential(t *testing.T) {
 	}
 }
 
+// TestParallelStreamOrder pins the raw (uncollected) order of the
+// parallel scatter: at every parallelism, on map, CSR and partitioned
+// stores, for both the row and the batch pipeline, the stream must equal
+// the serial stream row for row. Collect's canonical sort would hide a
+// gather that emits in arrival order; this comparison does not.
+func TestParallelStreamOrder(t *testing.T) {
+	queries := append([]string{
+		`MATCH TRAIL (x:Account)-[t:Transfer]->{1,3}(y)`,
+		`MATCH ANY SHORTEST (a:Account)-[:Transfer]->+(b)`,
+		`MATCH (a:Account)-[:Transfer]->(b), TRAIL (b)-[:Transfer]->{1,2}(c)`,
+	}, batchQueries...)
+	for gi, g := range batchDiffGraphs() {
+		stores := []graph.Store{g, graph.Snapshot(g), graph.PartitionSnapshot(g, graph.PartitionOptions{Partitions: 3})}
+		for _, src := range queries {
+			p := compile(t, src, plan.Options{})
+			for si, s := range stores {
+				for _, vec := range []bool{false, true} {
+					serial := Config{DisableIntersect: true, DisableVectorize: !vec}
+					want := streamRows(t, s, p, serial)
+					for _, par := range []int{2, 8} {
+						cfg := serial
+						cfg.Parallelism = par
+						label := fmt.Sprintf("graph %d store %d vectorize=%v par=%d %s", gi, si, vec, par, src)
+						diffStrings(t, label, streamRows(t, s, p, cfg), want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestBatchLimitPrefixDifferential pins the LIMIT pushdown: for every
 // prefix length the batch pipeline must deliver exactly the rows the
 // row-at-a-time pipeline delivers, in the same order, even though it

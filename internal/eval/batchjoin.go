@@ -338,13 +338,9 @@ func (c *batchBindStep) preSolve(b *Batch) error {
 	if len(seeds) < 2 {
 		return nil
 	}
-	workers := c.cfg.Parallelism
-	if workers > len(seeds) {
-		workers = len(seeds)
-	}
 	out := make([]*seedSols, len(seeds))
 	bud := c.budget()
-	errs := runSeedPool(workers, len(seeds), nil, func() func(int) error {
+	err := solveEach(c.cfg.Parallelism, len(seeds), func() func(int) error {
 		var cur *seedSols
 		enum := newChainEnum(c.st, c.pp.Chain, c.cfg.Limits.withDefaults(), bud, func(tuple []graph.ElemIdx) error {
 			for j, v := range tuple {
@@ -361,10 +357,8 @@ func (c *batchBindStep) preSolve(b *Batch) error {
 			return nil
 		}
 	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	if err != nil {
+		return err
 	}
 	for i, si := range seeds {
 		c.memo[si] = out[i]

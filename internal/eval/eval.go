@@ -234,17 +234,13 @@ func MatchPattern(s graph.Store, pp *plan.PathPlan, cfg Config) ([]*binding.Redu
 
 // Enumerate produces the raw (annotated) path bindings of one pattern. It
 // seeds one engine run per candidate start node — from the store's label
-// index when the plan proved a seed label, a full scan otherwise — and,
-// with cfg.Parallelism > 1, distributes the seed runs over a worker pool
-// (see parallel.go). Search limits are shared across all seed runs.
+// index when the plan proved a seed label, a full scan otherwise — and
+// runs them serially on the caller's goroutine: cfg.Parallelism applies
+// to the streaming pipeline only (see parallel.go). Search limits are
+// shared across all seed runs.
 func Enumerate(s graph.Store, pp *plan.PathPlan, cfg Config) ([]*binding.PathBinding, error) {
 	st := graph.AsStepper(s)
 	bud := newBudget(cfg.Limits.withDefaults())
-	if cfg.Parallelism > 1 {
-		if seeds := seedNodes(st, pp); len(seeds) > 1 {
-			return enumerateParallel(st, pp, cfg, bud, seeds)
-		}
-	}
 	var out []*binding.PathBinding
 	run := seedRunner(st, pp, cfg, bud, func(b *binding.PathBinding) error {
 		out = append(out, b)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"gpml/internal/binding"
 	"gpml/internal/graph"
@@ -279,276 +278,50 @@ func (c *syncSolSource) next() (*binding.Reduced, error) {
 
 func (c *syncSolSource) close() {}
 
-// solStream is the parallel pattern source: a worker pool solves seeds
-// concurrently and a generator goroutine emits the per-seed batches in
-// seed order over a channel.
+// solStream is the parallel pattern source: the row scatter's solution
+// lists, handed out one solution at a time.
 type solStream struct {
-	ctx    context.Context
-	ch     chan []*binding.Reduced
-	stop   chan struct{}
-	err    error // set before ch closes; errStreamStopped is filtered
-	buf    []*binding.Reduced
-	closed bool
+	sc  *scatter[[]*binding.Reduced]
+	buf []*binding.Reduced
 }
 
-// newParallelSolStream starts the worker pool and ordering emitter.
+// newParallelSolStream starts the row scatter, pinning workers to
+// partitions when the store is sharded.
 func newParallelSolStream(ctx context.Context, st graph.Stepper, pp *plan.PathPlan, cfg Config, seeds []int) *solStream {
-	ps := &solStream{ctx: ctx, ch: make(chan []*binding.Reduced, 8), stop: make(chan struct{})}
-	bud := newBudget(cfg.Limits.withDefaults())
-	bud.check = cancelCheck(ctx, ps.stop)
-	go func() {
-		defer close(ps.ch)
-		ps.setErr(ps.runParallel(st, pp, cfg, bud, seeds))
-	}()
-	return ps
-}
-
-// setErr records the generator's terminal error; the stopped sentinel is
-// normal early termination, not an error.
-func (ps *solStream) setErr(err error) {
-	if err != nil && !errors.Is(err, errStreamStopped) {
-		ps.err = err
-	}
-}
-
-// send hands one batch to the consumer, aborting when the stream is
-// closed or the context cancelled.
-func (ps *solStream) send(batch []*binding.Reduced) error {
-	select {
-	case ps.ch <- batch:
-		return nil
-	case <-ps.stop:
-		return errStreamStopped
-	case <-ps.ctx.Done():
-		return ps.ctx.Err()
-	}
+	sc := &scatter[[]*binding.Reduced]{empty: func(sols []*binding.Reduced) bool { return len(sols) == 0 }}
+	pv, _ := st.(graph.PartitionedView)
+	sc.start(ctx, cfg, seeds, pv, func(bud *budget) func(lo, hi int) ([]*binding.Reduced, error) {
+		solver := newSeedSolver(st, pp, cfg, bud)
+		return func(lo, hi int) ([]*binding.Reduced, error) {
+			var out []*binding.Reduced
+			for _, seed := range seeds[lo:hi] {
+				sols, err := solver.solve(seed)
+				if err != nil {
+					return nil, err
+				}
+				out = append(out, sols...)
+			}
+			return out, nil
+		}
+	})
+	return &solStream{sc: sc}
 }
 
 // next returns the next solution, or (nil, nil) at exhaustion.
 func (ps *solStream) next() (*binding.Reduced, error) {
 	for len(ps.buf) == 0 {
-		batch, ok := <-ps.ch
+		sols, ok, err := ps.sc.next()
 		if !ok {
-			return nil, ps.err
+			return nil, err
 		}
-		ps.buf = batch
+		ps.buf = sols
 	}
 	sol := ps.buf[0]
 	ps.buf = ps.buf[1:]
 	return sol, nil
 }
 
-// close stops the generator and waits for it to exit (draining the
-// channel until the generator closes it), so no goroutine outlives the
-// stream.
-func (ps *solStream) close() {
-	if ps.closed {
-		return
-	}
-	ps.closed = true
-	close(ps.stop)
-	for range ps.ch { //nolint:revive // drain until the generator exits
-	}
-}
-
-// runParallel distributes per-seed pipeline runs over cfg.Parallelism
-// workers and emits the results in seed order (the reorder buffer holds
-// only batches that finished ahead of the emission head), so the
-// stream's order is identical to sequential evaluation. Workers claim
-// contiguous seed chunks — small enough for load balance, large enough
-// that channel and reorder bookkeeping amortizes to nothing on
-// many-seed workloads — and stop claiming when the stream stops;
-// mid-seed runs abort through the shared budget's cancellation hook.
-func (ps *solStream) runParallel(st graph.Stepper, pp *plan.PathPlan, cfg Config, bud *budget, seeds []int) error {
-	workers := cfg.Parallelism
-	if workers > len(seeds) {
-		workers = len(seeds)
-	}
-	if pv, ok := st.(graph.PartitionedView); ok && pv.NumPartitions() > 1 {
-		return ps.runPartitioned(st, pv, pp, cfg, bud, seeds, workers)
-	}
-	// Seeds are claimed in contiguous chunks (see chunkStarts): single
-	// seeds first for first-row latency, growing toward 64 so channel and
-	// reorder bookkeeping amortizes away on many-seed workloads.
-	starts := chunkStarts(len(seeds), workers)
-	nchunks := len(starts) - 1
-	type seedResult struct {
-		i    int
-		sols []*binding.Reduced
-	}
-	resCh := make(chan seedResult, workers)
-	var errs []error
-	go func() {
-		errs = runSeedPool(workers, nchunks, ps.stop, func() func(int) error {
-			solver := newSeedSolver(st, pp, cfg, bud)
-			return func(ci int) error {
-				lo, hi := starts[ci], starts[ci+1]
-				var batch []*binding.Reduced
-				for _, seed := range seeds[lo:hi] {
-					sols, err := solver.solve(seed)
-					if err != nil {
-						return err
-					}
-					batch = append(batch, sols...)
-				}
-				// Empty batches are sent too: the emitter advances its
-				// reorder head strictly in chunk order.
-				select {
-				case resCh <- seedResult{i: ci, sols: batch}:
-					return nil
-				case <-ps.stop:
-					return errStreamStopped
-				}
-			}
-		})
-		close(resCh) // errs is visible to the emitter once the range ends
-	}()
-	// Emit per-seed batches in seed order; the reorder buffer holds only
-	// seeds that finished ahead of the emission head. On failure or stop,
-	// keep draining so the workers can exit, then report the first error
-	// in seed order (matching the materializing pool's behaviour).
-	pending := map[int][]*binding.Reduced{}
-	emitAt := 0
-	var emitErr error
-	for r := range resCh {
-		if emitErr != nil {
-			continue
-		}
-		pending[r.i] = r.sols
-		for sols, ok := pending[emitAt]; ok; sols, ok = pending[emitAt] {
-			delete(pending, emitAt)
-			emitAt++
-			if len(sols) == 0 {
-				continue
-			}
-			if emitErr = ps.send(sols); emitErr != nil {
-				break
-			}
-		}
-	}
-	for _, err := range errs {
-		if err != nil && !errors.Is(err, errStreamStopped) {
-			return err
-		}
-	}
-	return emitErr
-}
-
-// runPartitioned is runParallel's scatter/gather variant for stores whose
-// adjacency is sharded (graph.PartitionedView). The global seed list is
-// scattered into per-partition position lists (positions into the seed
-// slice, ascending, so each list preserves global seed order), each list
-// is chunked with the same geometric schedule, and workers are pinned to
-// home partitions — a worker claims chunks of its home shard while any
-// remain, keeping the hot expansion loop inside one partition's arena,
-// and steals from the fullest shard once its home drains. Homes are
-// assigned in order of each partition's first global seed position, so
-// the shard holding seed 0 is worked first and first-row latency stays
-// one seed's work.
-//
-// Gather: every finished seed's batch is tagged with its global position
-// and the emitter advances a per-position reorder head, so the stream's
-// emission order — and therefore all downstream output — is byte-
-// identical to the sequential and unpartitioned parallel paths.
-func (ps *solStream) runPartitioned(st graph.Stepper, pv graph.PartitionedView, pp *plan.PathPlan, cfg Config, bud *budget, seeds []int, workers int) error {
-	nparts := pv.NumPartitions()
-	byPart := make([][]int32, nparts)
-	for pos, seed := range seeds {
-		p := pv.PartitionOf(seed)
-		byPart[p] = append(byPart[p], int32(pos))
-	}
-	// Chunk each partition's list as if its share of the pool worked it
-	// alone, so every shard leads with single-seed chunks.
-	perPart := (workers + nparts - 1) / nparts
-	starts := make([][]int, nparts)
-	nchunks := make([]int, nparts)
-	for p, list := range byPart {
-		starts[p] = chunkStarts(len(list), perPart)
-		nchunks[p] = len(starts[p]) - 1
-	}
-	// Pin workers to non-empty partitions ordered by first seed position.
-	order := make([]int, 0, nparts)
-	for p := range byPart {
-		if len(byPart[p]) > 0 {
-			order = append(order, p)
-		}
-	}
-	sort.Slice(order, func(a, b int) bool { return byPart[order[a]][0] < byPart[order[b]][0] })
-	homes := make([]int, workers)
-	for w := range homes {
-		homes[w] = order[w%len(order)]
-	}
-	type posResult struct {
-		pos  int32
-		sols []*binding.Reduced
-	}
-	resCh := make(chan []posResult, workers)
-	var errs [][]error
-	go func() {
-		errs = runPartitionPool(homes, nchunks, ps.stop, func(home int) func(part, ci int) error {
-			solver := newSeedSolver(st, pp, cfg, bud)
-			return func(part, ci int) error {
-				lo, hi := starts[part][ci], starts[part][ci+1]
-				out := make([]posResult, 0, hi-lo)
-				for _, pos := range byPart[part][lo:hi] {
-					sols, err := solver.solve(seeds[pos])
-					if err != nil {
-						return err
-					}
-					out = append(out, posResult{pos: pos, sols: sols})
-				}
-				// Empty per-seed results are sent too: the emitter advances
-				// its reorder head strictly in seed-position order.
-				select {
-				case resCh <- out:
-					return nil
-				case <-ps.stop:
-					return errStreamStopped
-				}
-			}
-		})
-		close(resCh) // errs is visible to the emitter once the range ends
-	}()
-	pending := map[int][]*binding.Reduced{}
-	emitAt := 0
-	var emitErr error
-	for batch := range resCh {
-		if emitErr != nil {
-			continue
-		}
-		for _, r := range batch {
-			pending[int(r.pos)] = r.sols
-		}
-		for sols, ok := pending[emitAt]; ok; sols, ok = pending[emitAt] {
-			delete(pending, emitAt)
-			emitAt++
-			if len(sols) == 0 {
-				continue
-			}
-			if emitErr = ps.send(sols); emitErr != nil {
-				break
-			}
-		}
-	}
-	// Report the first error in global seed order (matching the other
-	// pools), identified by the failing chunk's first seed position.
-	var firstErr error
-	firstPos := len(seeds)
-	for p, perr := range errs {
-		for ci, err := range perr {
-			if err == nil || errors.Is(err, errStreamStopped) {
-				continue
-			}
-			if pos := int(byPart[p][starts[p][ci]]); pos < firstPos {
-				firstPos, firstErr = pos, err
-			}
-		}
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	return emitErr
-}
+func (ps *solStream) close() { ps.sc.close() }
 
 // collectStream drains a pattern source into a solution slice — the
 // cancellable materialization used by blocking join inputs.
@@ -917,28 +690,19 @@ func (c *bindStepCursor) candidates(row *Row) ([]*binding.Reduced, error) {
 // seeds on a worker pool (one solver per worker, budget shared with the
 // sequential solver's step budget semantics).
 func (c *bindStepCursor) solveSeedsParallel(seeds []int) ([][]*binding.Reduced, error) {
-	workers := c.cfg.Parallelism
-	if workers > len(seeds) {
-		workers = len(seeds)
-	}
 	st := c.stepper()
 	bud := c.budget()
 	out := make([][]*binding.Reduced, len(seeds))
-	errs := runSeedPool(workers, len(seeds), nil, func() func(int) error {
+	err := solveEach(c.cfg.Parallelism, len(seeds), func() func(int) error {
 		solver := newSeedSolver(st, c.pp, c.cfg, bud)
 		return func(i int) error {
 			sols, err := solver.solve(seeds[i])
-			if err != nil {
-				return err
-			}
 			out[i] = sols
-			return nil
+			return err
 		}
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

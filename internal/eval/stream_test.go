@@ -313,15 +313,27 @@ func TestStreamStagesAnnotation(t *testing.T) {
 }
 
 // TestStreamErrorPropagation: a search-limit error inside a generator
-// goroutine must surface through Next, not vanish.
+// goroutine must surface through Next, not vanish — on every scatter
+// caller: the row scatter on one queue (map graph) and on per-partition
+// queues (partitioned store), and the batch scatter (flat chain).
 func TestStreamErrorPropagation(t *testing.T) {
 	g := dataset.Grid(5, 5)
-	p := compile(t, `MATCH TRAIL (x)-[e:Transfer]->+(y)`, plan.Options{})
-	for _, cfg := range []Config{
-		{Limits: Limits{MaxMatches: 50}},
-		{Limits: Limits{MaxMatches: 50}, Parallelism: 4},
+	parts := graph.PartitionSnapshot(g, graph.PartitionOptions{Partitions: 3})
+	trail := `MATCH TRAIL (x)-[e:Transfer]->+(y)`
+	chain := `MATCH (x)-[e:Transfer]->(y)-[f:Transfer]->(z)`
+	for _, tc := range []struct {
+		s   graph.Store
+		src string
+		cfg Config
+	}{
+		{g, trail, Config{Limits: Limits{MaxMatches: 50}}},
+		{g, trail, Config{Limits: Limits{MaxMatches: 50}, Parallelism: 4}},
+		{g, chain, Config{Limits: Limits{MaxMatches: 10}, Parallelism: 4}},
+		{parts, trail, Config{Limits: Limits{MaxMatches: 50}, Parallelism: 4}},
 	} {
-		cur, err := StreamPlan(context.Background(), g, p, cfg)
+		cfg := tc.cfg
+		p := compile(t, tc.src, plan.Options{})
+		cur, err := StreamPlan(context.Background(), tc.s, p, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,7 +351,7 @@ func TestStreamErrorPropagation(t *testing.T) {
 		cur.Close()
 		var lim *LimitError
 		if !errors.As(lastErr, &lim) {
-			t.Fatalf("parallelism %d: expected LimitError, got %v", cfg.Parallelism, lastErr)
+			t.Fatalf("%T parallelism %d %s: expected LimitError, got %v", tc.s, cfg.Parallelism, tc.src, lastErr)
 		}
 	}
 }

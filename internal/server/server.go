@@ -292,6 +292,11 @@ func (s *Server) prepare(st graph.Store, src string, gqlMode bool) (*gpml.Query,
 	return q, false, nil
 }
 
+// maxRequestBytes caps a /query or /explain body. A statement and its
+// parameters take a few kilobytes; the cap bounds what one request can
+// make the server read and decode.
+const maxRequestBytes = 1 << 20
+
 // parseRequest decodes and validates the shared /query//explain body.
 func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (*queryRequest, graph.Store, map[string]gpml.Value, bool) {
 	if r.Method != http.MethodPost {
@@ -299,9 +304,14 @@ func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (*queryReq
 		return nil, nil, nil, false
 	}
 	var req queryRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, errorBody{Message: fmt.Sprintf("request body exceeds %d bytes", maxRequestBytes), Kind: "bad_request"})
+			return nil, nil, nil, false
+		}
 		writeError(w, http.StatusBadRequest, errorBody{Message: "invalid request body: " + err.Error(), Kind: "bad_request"})
 		return nil, nil, nil, false
 	}

@@ -237,6 +237,17 @@ func TestErrorResponses(t *testing.T) {
 	if status != http.StatusBadRequest || res.errKind != "bad_request" {
 		t.Fatalf("bad param type: status %d kind %q", status, res.errKind)
 	}
+
+	// Oversized body: 413 before any decoding work, and the server keeps
+	// serving afterwards.
+	status, res = postQuery(t, ts.URL, map[string]any{"query": "MATCH (x)" + strings.Repeat(" ", 2<<20)})
+	if status != http.StatusRequestEntityTooLarge || res.errKind != "bad_request" {
+		t.Fatalf("oversized body: status %d kind %q", status, res.errKind)
+	}
+	status, res = postQuery(t, ts.URL, map[string]any{"query": "MATCH (x:Account)"})
+	if status != http.StatusOK || res.errKind != "" || len(res.rows) == 0 {
+		t.Fatalf("query after oversized body: status %d kind %q rows %d", status, res.errKind, len(res.rows))
+	}
 }
 
 func TestRowLimitTruncation(t *testing.T) {

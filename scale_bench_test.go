@@ -1,8 +1,8 @@
 // Bench-scale tier: enumeration throughput, first-row latency and
 // bind-join speed on the LDBC-SNB-flavored graph (internal/dataset SNB)
 // as a function of scale factor and partition count. Sub-benchmark keys
-// are `/sf=<f>/parts=<n>` so benchjson -compare reports regressions per
-// (scale, sharding) cell.
+// are `/sf=<f>/parts=<n>` and `/sf=<f>/csr/par=<n>` so benchjson -compare
+// reports regressions per (scale, sharding, parallelism) cell.
 //
 // The enumeration queries use a {1,2} quantifier deliberately: quantified
 // paths are outside the vectorized batch fragment, so evaluation rides
@@ -10,7 +10,8 @@
 // arenas — the code path this tier exists to measure. parts=1 runs on a
 // plain CSR snapshot (the single-arena floor); parts>1 on a hash-
 // partitioned snapshot with Parallelism=parts, so the curve across
-// parts is the scatter/gather scaling curve.
+// parts is the scatter/gather scaling curve; csr/par=<n> runs the same
+// scatter on the plain CSR snapshot at equal parallelism.
 //
 // Defaults stay laptop-sized (SF 0.1). Larger sweeps opt in via
 // GPML_SCALE_SF (comma-separated scale factors, e.g. "0.1,1,3"); the
@@ -105,16 +106,43 @@ func scaleStore(g *gpml.Graph, parts int) gpml.Store {
 
 var scaleParts = []int{1, 2, 4, 8}
 
+// scaleCell is one (store, parallelism) cell of the tier, keyed under
+// its scale factor.
+type scaleCell struct {
+	name string
+	st   gpml.Store
+	par  int
+}
+
+// scaleCells lists a scale factor's cells. parts=<n> runs the store with
+// n partitions at Parallelism=n; csr/par=<n> runs the plain CSR snapshot
+// at the same parallelism, so the two differ only in the scatter's queue
+// policy (workers pinned to per-partition queues vs one shared queue) —
+// the equal-parallelism comparison that decides whether partitioning
+// pays for itself.
+func scaleCells(g *gpml.Graph) []scaleCell {
+	var cells []scaleCell
+	for _, parts := range scaleParts {
+		cells = append(cells, scaleCell{fmt.Sprintf("parts=%d", parts), scaleStore(g, parts), parts})
+	}
+	csr := gpml.Snapshot(g)
+	for _, n := range scaleParts {
+		if n > 1 {
+			cells = append(cells, scaleCell{fmt.Sprintf("csr/par=%d", n), csr, n})
+		}
+	}
+	return cells
+}
+
 func BenchmarkScaleEnumerate(b *testing.B) {
 	q := gpml.MustCompile(scaleEnumerateQuery)
 	for _, sf := range scaleSFs(b) {
 		g := scaleGraph(sf)
-		for _, parts := range scaleParts {
-			st := scaleStore(g, parts)
-			b.Run(fmt.Sprintf("sf=%g/parts=%d", sf, parts), func(b *testing.B) {
+		for _, c := range scaleCells(g) {
+			b.Run(fmt.Sprintf("sf=%g/%s", sf, c.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					res, err := q.EvalStore(st, gpml.WithParallelism(parts), gpml.WithLimits(scaleLims))
+					res, err := q.EvalStore(c.st, gpml.WithParallelism(c.par), gpml.WithLimits(scaleLims))
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -140,11 +168,10 @@ func BenchmarkScaleFirstRow(b *testing.B) {
 	q := gpml.MustCompile(scaleFirstRowQuery)
 	for _, sf := range scaleSFs(b) {
 		g := scaleGraph(sf)
-		for _, parts := range scaleParts {
-			st := scaleStore(g, parts)
-			b.Run(fmt.Sprintf("sf=%g/parts=%d", sf, parts), func(b *testing.B) {
+		for _, c := range scaleCells(g) {
+			b.Run(fmt.Sprintf("sf=%g/%s", sf, c.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					rows, err := q.Stream(context.Background(), st, gpml.WithParallelism(parts), gpml.WithLimits(scaleLims))
+					rows, err := q.Stream(context.Background(), c.st, gpml.WithParallelism(c.par), gpml.WithLimits(scaleLims))
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -162,12 +189,11 @@ func BenchmarkScaleBindJoin(b *testing.B) {
 	q := gpml.MustCompile(scaleBindJoinQuery)
 	for _, sf := range scaleSFs(b) {
 		g := scaleGraph(sf)
-		for _, parts := range scaleParts {
-			st := scaleStore(g, parts)
-			b.Run(fmt.Sprintf("sf=%g/parts=%d", sf, parts), func(b *testing.B) {
+		for _, c := range scaleCells(g) {
+			b.Run(fmt.Sprintf("sf=%g/%s", sf, c.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := q.EvalStore(st, gpml.WithParallelism(parts), gpml.WithLimits(scaleLims)); err != nil {
+					if _, err := q.EvalStore(c.st, gpml.WithParallelism(c.par), gpml.WithLimits(scaleLims)); err != nil {
 						b.Fatal(err)
 					}
 				}
